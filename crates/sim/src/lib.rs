@@ -6,13 +6,16 @@
 //! distributed asynchronous system of `N` processes communicating only by
 //! message passing.
 //!
-//! The engine is a classical calendar-queue discrete-event simulator:
+//! The engine is a classical event-list discrete-event simulator:
 //!
 //! * [`SimTime`] — simulated time in integer nanoseconds (no floating-point
 //!   drift, total order, deterministic).
 //! * [`EventQueue`] — a binary-heap calendar with stable FIFO tie-breaking so
 //!   that two events scheduled for the same instant are handled in the order
-//!   they were scheduled. This makes every run bit-reproducible.
+//!   they were scheduled. This makes every run bit-reproducible. A burst of
+//!   consecutive same-instant events (a broadcast's `P − 1` deliveries)
+//!   takes one heap entry, not one per event; the pop order is unchanged
+//!   (see the [`queue`] module docs for the layout and why).
 //! * [`Simulator`] / [`World`] — the run loop. The `World` owns all process
 //!   state; the simulator owns time and the calendar.
 //! * [`rng`] — a small, self-contained, splittable PRNG (SplitMix64 and

@@ -2,6 +2,19 @@
 
 use loadex_sim::{EventQueue, SimDuration, SimRng, SimTime, TimeWeightedGauge, Welford};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+/// Pop one event from both the calendar and the `(time, seq)` reference and
+/// require they agree.
+fn pop_both(
+    q: &mut EventQueue<u64>,
+    reference: &mut BTreeMap<(SimTime, u64), u64>,
+) -> Result<Option<SimTime>, TestCaseError> {
+    let want = reference.pop_first().map(|((t, _), ev)| (t, ev));
+    let got = q.pop();
+    prop_assert_eq!(got, want);
+    Ok(got.map(|(t, _)| t))
+}
 
 proptest! {
     /// The calendar pops events in nondecreasing time order, FIFO at ties.
@@ -84,5 +97,63 @@ proptest! {
         let mut child = parent.split();
         let same = (0..64).filter(|_| parent.next_u64() == child.next_u64()).count();
         prop_assert!(same < 8);
+    }
+}
+
+proptest! {
+    // Cheap cases, and run bugs need specific interleavings: run many.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Model-based check of the run-grouped calendar: random interleavings of
+    /// same-instant bursts, pushes at the current time, and pops that stop in
+    /// the middle of a run must match a `BTreeMap` keyed by `(time, seq)`
+    /// after every operation, `len()` and `peek_time()` included.
+    #[test]
+    fn event_queue_matches_btreemap_model(
+        ops in prop::collection::vec((0u8..10, 0u64..4, 1usize..12), 1..120)
+    ) {
+        let mut q = EventQueue::new();
+        let mut reference = BTreeMap::new();
+        let mut now = SimTime::ZERO;
+        let mut seq = 0u64;
+        for &(kind, dt, n) in &ops {
+            match kind {
+                // A burst of `n` events at one instant, `dt` from now
+                // (`dt == 0`: at the current time).
+                0..=3 => {
+                    let t = now + SimDuration::from_nanos(dt);
+                    for _ in 0..n {
+                        q.push(t, seq);
+                        reference.insert((t, seq), seq);
+                        seq += 1;
+                    }
+                }
+                // Single pushes at scattered instants close the open run.
+                4..=5 => {
+                    let t = now + SimDuration::from_nanos(dt * 7 + n as u64);
+                    q.push(t, seq);
+                    reference.insert((t, seq), seq);
+                    seq += 1;
+                }
+                // Up to `n` pops, often ending inside a run; the clock
+                // follows the popped events as in the simulator.
+                _ => {
+                    for _ in 0..n {
+                        match pop_both(&mut q, &mut reference)? {
+                            Some(t) => now = t,
+                            None => break,
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(q.len(), reference.len());
+            prop_assert_eq!(q.is_empty(), reference.is_empty());
+            prop_assert_eq!(q.peek_time(), reference.keys().next().map(|&(t, _)| t));
+        }
+        while pop_both(&mut q, &mut reference)?.is_some() {
+            prop_assert_eq!(q.len(), reference.len());
+        }
+        prop_assert!(q.is_empty());
+        prop_assert_eq!(q.scheduled_total(), seq);
     }
 }

@@ -463,13 +463,13 @@ impl SolverWorld {
         let obs = self.obs();
         if obs {
             // Stamp the mechanism's staged protocol events with (time, rank).
-            let events: Vec<ProtocolEvent> = self.procs[p].outbox.drain_events().collect();
-            for ev in events {
+            for ev in self.procs[p].outbox.drain_events() {
                 self.recorder.emit(now, ActorId(p), ev);
             }
         }
-        let staged: Vec<OutMsg> = self.procs[p].outbox.drain().collect();
-        for OutMsg { dest, msg } in staged {
+        // Drain in place: the sends below touch only disjoint fields, so no
+        // per-flush buffer is needed.
+        for OutMsg { dest, msg } in self.procs[p].outbox.drain() {
             let size = msg.wire_size();
             match dest {
                 loadex_core::Dest::One(to) => {
@@ -797,12 +797,10 @@ impl SolverWorld {
                 }
                 let truth = self.true_load(q);
                 let seen = self.procs[p].mech.view().get(ActorId(q));
-                self.metrics.observe(
-                    "view_staleness_decision_work",
-                    (seen.work - truth.work).abs(),
-                );
                 self.metrics
-                    .observe("view_staleness_decision_mem", (seen.mem - truth.mem).abs());
+                    .observe("view_error_decision_work", (seen.work - truth.work).abs());
+                self.metrics
+                    .observe("view_error_decision_mem", (seen.mem - truth.mem).abs());
             }
         }
 

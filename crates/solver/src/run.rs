@@ -312,9 +312,9 @@ mod tests {
         assert!(r.metrics.histograms["state_msg_latency_ns"].count > 0);
         assert!(r.metrics.histograms["snapshot_duration_ns"].count > 0);
         assert_eq!(
-            r.metrics.histograms["view_staleness_decision_work"].count,
+            r.metrics.histograms["view_error_decision_work"].count,
             r.decisions * 3,
-            "one staleness sample per (decision, other proc)"
+            "one error sample per (decision, other proc)"
         );
         // Every protocol event kind the snapshot run exercises shows up.
         for kind in [

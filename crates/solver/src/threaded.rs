@@ -243,14 +243,12 @@ fn flush_cell(
 ) -> bool {
     if recorder.is_enabled() {
         let now = clock.now();
-        let events: Vec<ProtocolEvent> = cell.outbox.drain_events().collect();
-        for ev in events {
+        for ev in cell.outbox.drain_events() {
             recorder.emit(now, ActorId(me), ev);
         }
     }
-    let staged: Vec<OutMsg> = cell.outbox.drain().collect();
     let mut ok = true;
-    for OutMsg { dest, msg } in staged {
+    for OutMsg { dest, msg } in cell.outbox.drain() {
         let size = msg.wire_size();
         match dest {
             Dest::One(to) => {

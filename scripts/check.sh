@@ -27,4 +27,21 @@ for mech in naive increments snapshot; do
         --matrix TWOTONE --procs 8 --mech "$mech" --audit
 done
 
+# Benchmark correctness smoke: every perfbench workload must reproduce the
+# simulated statistics pinned in perfbench/src/workload.rs, so a change to
+# the calendar, network or engine that alters the simulation fails here.
+# The benchmark prints one JSON result object on its last line.
+for workload in incr-p512 snap-p768 gossip-p256 audit-p128; do
+    echo "==> perfbench --workload $workload --seed 0 --seconds 1 --trace 0"
+    result=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 0 --seconds 1 --trace 0 | tail -n 1)
+    case "$result" in
+        *'"correct": true'*) ;;
+        *)
+            echo "perfbench $workload is not correct: $result" >&2
+            exit 1
+            ;;
+    esac
+done
+
 echo "All checks passed."

@@ -6,7 +6,7 @@ use loadex::core::{Gate, Load, MechKind, Mechanism, Outbox, SnapshotMechanism, S
 use loadex::net::{Channel, Endpoint, RecvError, ThreadNetwork};
 use loadex::sim::{ActorId, SimRng, SimTime};
 use loadex::solver::{self, ExecBackend, RunError, SolverConfig, ThreadedBackend};
-use loadex::sparse::{gen, symbolic, AssemblyTree, Symmetry};
+use loadex::sparse::{gen, models, symbolic, AssemblyTree, Symmetry};
 use std::time::Duration;
 
 fn small_tree() -> AssemblyTree {
@@ -117,13 +117,16 @@ fn wall_timeout_surfaces_as_typed_error() {
 /// §4.5's point, measured end to end: with a dedicated communication thread
 /// answering snapshot queries every 50 µs, the initiator of a snapshot blocks
 /// for far less time than when peers only answer between compute slices.
+///
+/// TWOTONE on 4 processes has few decisions and long tasks. Without the comm
+/// thread an initiator waits for its peers' compute slices, seconds of
+/// simulated time per snapshot; with it, the wait is a poll period plus host
+/// scheduling noise. The gap is orders of magnitude wider than that noise, so
+/// a loaded host cannot flip the comparison.
 #[test]
 fn comm_thread_shrinks_snapshot_blocked_time() {
-    let tree = small_tree();
-    let c = cfg(4, MechKind::Snapshot);
-    // Stretch wall time enough that compute slices dominate the mainloop
-    // variant's answer latency.
-    let scale = 2.0;
+    let tree = models::by_name("TWOTONE").unwrap().build_tree();
+    let c = SolverConfig::new(4).with_mechanism(MechKind::Snapshot);
     let blocked = |t: ThreadedBackend| -> Duration {
         // Scheduling noise only ever inflates blocked time, so the minimum
         // of a few runs approximates the noise-free value of each variant.
@@ -136,11 +139,11 @@ fn comm_thread_shrinks_snapshot_blocked_time() {
             .min()
             .unwrap()
     };
-    let with_comm = blocked(fast().with_time_scale(scale));
-    let without = blocked(fast().with_time_scale(scale).without_comm_thread());
+    let with_comm = blocked(fast());
+    let without = blocked(fast().without_comm_thread());
     assert!(
-        with_comm < without,
-        "comm thread did not shrink blocked time: {with_comm:?} !< {without:?}"
+        with_comm * 10 < without,
+        "comm thread did not shrink blocked time tenfold: {with_comm:?} vs {without:?}"
     );
 }
 
