@@ -25,11 +25,13 @@
 //! believed views, staleness, decision regret) and writes its report as
 //! JSON. `--audit` records the protocol-event stream and checks it against
 //! the strict protocol invariants (`loadex_obs::ProtocolAuditor`); any
-//! violation is printed and fails the run with a non-zero exit status.
+//! violation is printed and fails the run with a non-zero exit status. If
+//! the event log overflowed, the audit gives no verdict and fails the run
+//! too (see `loadex_bench::strict_audit`).
 
-use loadex_bench::config_for;
+use loadex_bench::{config_for, strict_audit};
 use loadex_core::MechKind;
-use loadex_obs::{chrome, jsonl, ProtocolAuditor, Recorder};
+use loadex_obs::{chrome, jsonl, Recorder};
 use loadex_sim::SimDuration;
 use loadex_solver::{run_observed, CommMode, ExecBackend, Strategy, ThreadedBackend};
 use loadex_sparse::models::by_name;
@@ -251,24 +253,12 @@ fn main() {
         let acc = r.accuracy.as_ref().expect("accuracy was enabled");
         write(path, "accuracy report", acc.to_json());
     }
-    let audit_failed = if audit {
-        let report = ProtocolAuditor::strict().audit(&events);
-        if report.is_clean() {
-            eprintln!("audit: {} events, 0 violations (strict)", report.events);
-            false
-        } else {
-            for v in &report.violations {
-                eprintln!("audit violation: {v}");
-            }
-            eprintln!(
-                "audit: {} events, {} violations (strict)",
-                report.events,
-                report.violations.len()
-            );
-            true
+    let audit_failed = audit && {
+        let (lines, failed) = strict_audit(&events, rec.dropped());
+        for line in lines {
+            eprintln!("{line}");
         }
-    } else {
-        false
+        failed
     };
 
     println!("backend            : {}", r.backend);

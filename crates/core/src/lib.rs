@@ -40,6 +40,7 @@ pub mod msg;
 pub mod naive;
 pub mod outbox;
 pub mod periodic;
+pub mod rankset;
 pub mod snapshot;
 pub mod view;
 
@@ -51,5 +52,6 @@ pub use msg::StateMsg;
 pub use naive::NaiveMechanism;
 pub use outbox::{Dest, OutMsg, Outbox};
 pub use periodic::PeriodicMechanism;
+pub use rankset::RankSet;
 pub use snapshot::{LeaderPolicy, SnapshotMechanism};
 pub use view::LoadTable;

@@ -34,6 +34,7 @@ use crate::load::Load;
 use crate::mech::{ChangeOrigin, Gate, MechStats, Mechanism, Notify};
 use crate::msg::StateMsg;
 use crate::outbox::Outbox;
+use crate::rankset::RankSet;
 use crate::view::LoadTable;
 use loadex_obs::ProtocolEvent;
 use loadex_sim::ActorId;
@@ -73,6 +74,17 @@ impl LeaderPolicy {
             _ => a,
         }
     }
+
+    /// The leader among the processes with an active snapshot (ourselves
+    /// included if our own is still pending): the rank a fold of
+    /// [`elect`](Self::elect) over `active` in rank order yields.
+    fn elect_in(self, active: &RankSet) -> Option<ActorId> {
+        match self {
+            LeaderPolicy::MinRank => active.first(),
+            LeaderPolicy::MaxRank => active.last(),
+        }
+        .map(ActorId)
+    }
 }
 
 /// Demand-driven distributed snapshot mechanism.
@@ -88,9 +100,9 @@ pub struct SnapshotMechanism {
     /// Last request id seen (or issued, for our own slot) per process.
     request: Vec<u64>,
     /// Which processes currently have an initiated snapshot.
-    snp: Vec<bool>,
-    /// Whether we owe a delayed answer to each process.
-    delayed: Vec<bool>,
+    snp: RankSet,
+    /// Processes we owe a delayed answer to.
+    delayed: RankSet,
     /// Answers received for our current request.
     nb_msgs: usize,
     phase: Phase,
@@ -102,9 +114,9 @@ pub struct SnapshotMechanism {
     /// Leader-election criterion (must be system-wide uniform).
     policy: LeaderPolicy,
     /// Processes queried by the current/pending snapshot (§5's "snapshot
-    /// algorithms involving only part of the processes"). `true` for every
-    /// other process in the classic full snapshot.
-    gather_set: Vec<bool>,
+    /// algorithms involving only part of the processes"). Every other
+    /// process in the classic full snapshot.
+    gather_set: RankSet,
     /// Number of answers required (`popcount(gather_set)`).
     gather_target: usize,
     /// Whether the current/pending own snapshot is partial.
@@ -121,8 +133,9 @@ impl SnapshotMechanism {
 
     /// A mechanism instance with an explicit leader-election policy.
     pub fn with_policy(me: ActorId, nprocs: usize, policy: LeaderPolicy) -> Self {
-        let mut gather_set = vec![true; nprocs];
-        gather_set[me.index()] = false;
+        let mut gather_set = RankSet::new(nprocs);
+        gather_set.fill();
+        gather_set.remove(me.index());
         SnapshotMechanism {
             me,
             view: LoadTable::new(me, nprocs),
@@ -130,8 +143,8 @@ impl SnapshotMechanism {
             nb_snp: 0,
             snapshot: false,
             request: vec![0; nprocs],
-            snp: vec![false; nprocs],
-            delayed: vec![false; nprocs],
+            snp: RankSet::new(nprocs),
+            delayed: RankSet::new(nprocs),
             nb_msgs: 0,
             phase: Phase::Idle,
             abandoned: false,
@@ -186,7 +199,7 @@ impl SnapshotMechanism {
 
     fn initiate_now(&mut self, out: &mut Outbox) {
         self.leader = Some(self.me);
-        self.snp[self.me.index()] = true;
+        self.snp.insert(self.me.index());
         self.request[self.me.index()] += 1;
         self.nb_msgs = 0;
         self.phase = Phase::Gathering;
@@ -203,33 +216,19 @@ impl SnapshotMechanism {
         } else {
             // Partial snapshot: only the candidate subset is queried (and
             // thus synchronized); disjoint snapshots proceed concurrently.
-            for q in 0..self.view.nprocs() {
-                if self.gather_set[q] {
-                    self.count_send(&msg, 1);
-                    out.send(ActorId(q), msg.clone());
-                }
+            for q in self.gather_set.iter() {
+                out.send(ActorId(q), msg.clone());
             }
+            self.count_send(&msg, self.gather_target as u64);
         }
         self.stats.snapshots_started += 1;
     }
 
     fn gathering_complete(&mut self) -> Vec<Notify> {
         // Initiate-a-snapshot lines 17–19: all answers in.
-        self.snp[self.me.index()] = false;
+        self.snp.remove(self.me.index());
         self.phase = Phase::ReadyToDecide;
         vec![Notify::DecisionReady]
-    }
-
-    /// Elect a leader among the processes with an active snapshot (including
-    /// ourselves if our own is still pending).
-    fn elect_among_active(&self) -> Option<ActorId> {
-        let mut leader = None;
-        for (i, &active) in self.snp.iter().enumerate() {
-            if active {
-                leader = Some(self.policy.elect(ActorId(i), leader));
-            }
-        }
-        leader
     }
 
     fn on_start_snp(
@@ -243,13 +242,12 @@ impl SnapshotMechanism {
         // Reception lines 1–6.
         self.leader = Some(self.policy.elect(pi, self.leader));
         self.request[pi.index()] = req;
-        if !self.snp[pi.index()] {
+        if self.snp.insert(pi.index()) {
             self.nb_snp += 1;
-            self.snp[pi.index()] = true;
         }
         // Lines 7–10: we are the leader — make the rival wait.
         if self.leader == Some(self.me) {
-            self.delayed[pi.index()] = true;
+            self.delayed.insert(pi.index());
             self.stats.delayed_answers += 1;
             if self.phase == Phase::Gathering {
                 let my_req = self.request[self.me.index()];
@@ -291,8 +289,8 @@ impl SnapshotMechanism {
             }
         } else {
             // Lines 15–22: already in snapshot mode.
-            if self.leader != Some(pi) || self.delayed[pi.index()] {
-                self.delayed[pi.index()] = true;
+            if self.leader != Some(pi) || self.delayed.contains(pi.index()) {
+                self.delayed.insert(pi.index());
                 self.stats.delayed_answers += 1;
                 out.note(|| ProtocolEvent::DelayedAnswer { to: pi, req });
             } else {
@@ -311,8 +309,7 @@ impl SnapshotMechanism {
         let mut notifies = Vec::new();
         // End-snp reception lines 1–3.
         self.leader = None;
-        if self.snp[pi.index()] {
-            self.snp[pi.index()] = false;
+        if self.snp.remove(pi.index()) {
             self.nb_snp = self.nb_snp.saturating_sub(1);
         }
         if self.nb_snp == 0 {
@@ -333,7 +330,7 @@ impl SnapshotMechanism {
             // outstanding answers on the current request id.
         } else {
             // Lines 7–18: elect the next leader among remaining initiators.
-            let next = self.elect_among_active();
+            let next = self.policy.elect_in(&self.snp);
             self.leader = next;
             if let Some(l) = next {
                 if l == self.me {
@@ -348,14 +345,13 @@ impl SnapshotMechanism {
                             notifies.extend(self.gathering_complete());
                         }
                     }
-                } else if self.delayed[l.index()] {
+                } else if self.delayed.remove(l.index()) {
                     let answer = StateMsg::Snp {
                         load: self.my_state(),
                         req: self.request[l.index()],
                     };
                     self.count_send(&answer, 1);
                     out.send(l, answer);
-                    self.delayed[l.index()] = false;
                 }
             }
         }
@@ -385,14 +381,11 @@ impl SnapshotMechanism {
     /// `candidates` (other view entries may be stale).
     pub fn request_decision_among(&mut self, candidates: &[ActorId], out: &mut Outbox) -> Gate {
         assert!(!candidates.is_empty(), "empty candidate set");
-        for q in 0..self.view.nprocs() {
-            self.gather_set[q] = false;
-        }
+        self.gather_set.clear();
         let mut target = 0;
         for c in candidates {
             assert_ne!(*c, self.me, "the initiator is not a candidate");
-            if !self.gather_set[c.index()] {
-                self.gather_set[c.index()] = true;
+            if self.gather_set.insert(c.index()) {
                 target += 1;
             }
         }
@@ -411,7 +404,7 @@ impl SnapshotMechanism {
         if self.snapshot {
             // Blocked by someone else's snapshot: initiate once it clears.
             self.deferred_init = true;
-            self.snp[self.me.index()] = true;
+            self.snp.insert(self.me.index());
         } else {
             self.initiate_now(out);
         }
@@ -462,9 +455,8 @@ impl Mechanism for SnapshotMechanism {
 
     fn request_decision(&mut self, out: &mut Outbox) -> Gate {
         // Classic full snapshot: query everyone.
-        for q in 0..self.view.nprocs() {
-            self.gather_set[q] = q != self.me.index();
-        }
+        self.gather_set.fill();
+        self.gather_set.remove(self.me.index());
         self.gather_target = self.view.nprocs() - 1;
         self.my_partial = false;
         self.request_prepared(out)
@@ -494,12 +486,10 @@ impl Mechanism for SnapshotMechanism {
             self.count_send(&end, (self.view.nprocs() - 1) as u64);
             out.broadcast(end);
         } else {
-            for q in 0..self.view.nprocs() {
-                if self.gather_set[q] {
-                    self.count_send(&end, 1);
-                    out.send(ActorId(q), end.clone());
-                }
+            for q in self.gather_set.iter() {
+                out.send(ActorId(q), end.clone());
             }
+            self.count_send(&end, self.gather_target as u64);
         }
         self.leader = None;
         self.phase = Phase::Idle;
@@ -507,17 +497,16 @@ impl Mechanism for SnapshotMechanism {
             // Other snapshots are pending: we wait for them (lines 3–16 of
             // Finalize), releasing our delayed answer to the new leader.
             self.snapshot = true;
-            let next = self.elect_among_active();
+            let next = self.policy.elect_in(&self.snp);
             self.leader = next;
             if let Some(l) = next {
-                if l != self.me && self.delayed[l.index()] {
+                if l != self.me && self.delayed.remove(l.index()) {
                     let answer = StateMsg::Snp {
                         load: self.my_state(),
                         req: self.request[l.index()],
                     };
                     self.count_send(&answer, 1);
                     out.send(l, answer);
-                    self.delayed[l.index()] = false;
                 }
             }
             notifies.push(Notify::Blocked);
@@ -814,7 +803,7 @@ mod tests {
             "p3 cannot complete before p1 answers"
         );
         assert!(
-            c.mechs[p1.index()].delayed[p3.index()],
+            c.mechs[p1.index()].delayed.contains(p3.index()),
             "p1 delays p3's new request"
         );
 

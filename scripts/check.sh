@@ -26,6 +26,11 @@ for mech in naive increments snapshot; do
     run cargo run --release --offline -p loadex-bench --bin run -- \
         --matrix TWOTONE --procs 8 --mech "$mech" --audit
 done
+# The same strict audit of the snapshot mechanism at 130 processes, where its
+# per-peer flag bitsets span three 64-bit words, so a word-indexing fault in
+# the leader election or the delayed answers fails the gate.
+run cargo run --release --offline -p loadex-bench --bin run -- \
+    --matrix TWOTONE --procs 130 --mech snapshot --audit
 
 # Benchmark correctness smoke: every perfbench workload must reproduce the
 # simulated statistics pinned in perfbench/src/workload.rs, so a change to

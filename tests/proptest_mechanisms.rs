@@ -3,8 +3,8 @@
 //! exactly the asynchrony MPI allows).
 
 use loadex::core::{
-    AnyMechanism, ChangeOrigin, Dest, Gate, IncrementMechanism, Load, MechKind, Mechanism,
-    NaiveMechanism, Notify, OutMsg, Outbox, SnapshotMechanism, StateMsg, Threshold,
+    AnyMechanism, ChangeOrigin, Dest, Gate, IncrementMechanism, LeaderPolicy, Load, MechKind,
+    Mechanism, NaiveMechanism, Notify, OutMsg, Outbox, SnapshotMechanism, StateMsg, Threshold,
 };
 use loadex::sim::ActorId;
 use proptest::prelude::*;
@@ -15,6 +15,10 @@ use std::collections::VecDeque;
 struct Postman {
     n: usize,
     queues: Vec<VecDeque<StateMsg>>, // index = from * n + to
+    /// Indices of the nonempty queues, in no particular order.
+    nonempty: Vec<usize>,
+    /// Messages staged and not yet delivered.
+    pending: usize,
 }
 
 impl Postman {
@@ -22,17 +26,28 @@ impl Postman {
         Postman {
             n,
             queues: (0..n * n).map(|_| VecDeque::new()).collect(),
+            nonempty: Vec::new(),
+            pending: 0,
         }
+    }
+
+    fn push(&mut self, from: usize, to: usize, msg: StateMsg) {
+        let idx = from * self.n + to;
+        if self.queues[idx].is_empty() {
+            self.nonempty.push(idx);
+        }
+        self.queues[idx].push_back(msg);
+        self.pending += 1;
     }
 
     fn stage(&mut self, from: ActorId, out: &mut Outbox) {
         for OutMsg { dest, msg } in out.drain() {
             match dest {
-                Dest::One(to) => self.queues[from.index() * self.n + to.index()].push_back(msg),
+                Dest::One(to) => self.push(from.index(), to.index(), msg),
                 Dest::AllOthers => {
                     for q in 0..self.n {
                         if q != from.index() {
-                            self.queues[from.index() * self.n + q].push_back(msg.clone());
+                            self.push(from.index(), q, msg.clone());
                         }
                     }
                 }
@@ -41,20 +56,22 @@ impl Postman {
     }
 
     fn pending(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
+        self.pending
     }
 
     /// Deliver from the `pick`-th nonempty pair (mod count). Returns
-    /// (from, to, msg) or None if empty.
+    /// (from, to, msg) or None if empty. O(1), whatever n.
     fn deliver(&mut self, pick: usize) -> Option<(ActorId, ActorId, StateMsg)> {
-        let nonempty: Vec<usize> = (0..self.queues.len())
-            .filter(|&i| !self.queues[i].is_empty())
-            .collect();
-        if nonempty.is_empty() {
+        if self.nonempty.is_empty() {
             return None;
         }
-        let idx = nonempty[pick % nonempty.len()];
+        let pos = pick % self.nonempty.len();
+        let idx = self.nonempty[pos];
         let msg = self.queues[idx].pop_front().unwrap();
+        if self.queues[idx].is_empty() {
+            self.nonempty.swap_remove(pos);
+        }
+        self.pending -= 1;
         Some((ActorId(idx / self.n), ActorId(idx % self.n), msg))
     }
 }
@@ -66,6 +83,59 @@ fn mk(kind: MechKind, me: ActorId, n: usize, thr: Threshold) -> AnyMechanism {
         MechKind::Snapshot => AnyMechanism::Snapshot(SnapshotMechanism::new(me, n)),
         other => unreachable!("not used in these tests: {other:?}"),
     }
+}
+
+/// Every process in `initiators` requests a decision before any delivery;
+/// messages are then delivered in the order `picks` chooses until the system
+/// is quiet, each ready initiator deciding at once (some work to a slave
+/// chosen by `slave_pick`). Returns the initiators in completion order, after
+/// checking that the run terminates and leaves nobody blocked.
+fn run_concurrent_snapshots(
+    n: usize,
+    policy: LeaderPolicy,
+    initiators: &[usize],
+    picks: &[usize],
+    slave_pick: usize,
+) -> Result<Vec<usize>, TestCaseError> {
+    let mut mechs: Vec<SnapshotMechanism> = (0..n)
+        .map(|i| SnapshotMechanism::with_policy(ActorId(i), n, policy))
+        .collect();
+    let mut post = Postman::new(n);
+    let mut out = Outbox::new();
+    for &i in initiators {
+        let gate = mechs[i].request_decision(&mut out);
+        post.stage(ActorId(i), &mut out);
+        prop_assert_eq!(gate, if n == 1 { Gate::Ready } else { Gate::Wait });
+    }
+
+    let mut completed: Vec<usize> = Vec::new();
+    let mut pick_iter = picks.iter().cycle();
+    let mut guard = 0;
+    while post.pending() > 0 {
+        guard += 1;
+        prop_assert!(guard < 200_000, "protocol storm");
+        let (from, to, msg) = post.deliver(*pick_iter.next().unwrap()).unwrap();
+        let notifies = mechs[to.index()].on_state_msg(from, msg, &mut out);
+        post.stage(to, &mut out);
+        for nf in notifies {
+            if nf == Notify::DecisionReady {
+                completed.push(to.index());
+                // Assign some work to a non-self slave.
+                let slave = (0..n).map(ActorId).find(|s| {
+                    s.index() != to.index() && (slave_pick + s.index()).is_multiple_of(2)
+                });
+                let sel: Vec<(ActorId, Load)> =
+                    slave.into_iter().map(|s| (s, Load::work(10.0))).collect();
+                mechs[to.index()].complete_decision(&sel, &mut out);
+                post.stage(to, &mut out);
+            }
+        }
+    }
+    // Nobody left blocked.
+    for (i, m) in mechs.iter().enumerate() {
+        prop_assert!(!m.blocked(), "P{i} still blocked at quiescence");
+    }
+    Ok(completed)
 }
 
 proptest! {
@@ -133,58 +203,48 @@ proptest! {
         picks in prop::collection::vec(0usize..97, 1..400),
         slave_pick in 0usize..16,
     ) {
-        let mut mechs: Vec<SnapshotMechanism> =
-            (0..n).map(|i| SnapshotMechanism::new(ActorId(i), n)).collect();
-        let mut post = Postman::new(n);
-        let mut out = Outbox::new();
-
         let initiators: Vec<usize> =
             (0..n).filter(|i| initiator_mask & (1 << i) != 0).collect();
         prop_assume!(!initiators.is_empty());
-        // All initiate before any delivery.
-        for &i in &initiators {
-            let gate = mechs[i].request_decision(&mut out);
-            post.stage(ActorId(i), &mut out);
-            if n == 1 {
-                prop_assert_eq!(gate, Gate::Ready);
-            } else {
-                prop_assert_eq!(gate, Gate::Wait);
-            }
-        }
-
-        let mut completed: Vec<usize> = Vec::new();
-        let mut pick_iter = picks.iter().cycle();
-        let mut guard = 0;
-        while post.pending() > 0 {
-            guard += 1;
-            prop_assert!(guard < 200_000, "protocol storm");
-            let (from, to, msg) = post.deliver(*pick_iter.next().unwrap()).unwrap();
-            let notifies = mechs[to.index()].on_state_msg(from, msg, &mut out);
-            post.stage(to, &mut out);
-            for nf in notifies {
-                if nf == Notify::DecisionReady {
-                    completed.push(to.index());
-                    // Assign some work to a non-self slave.
-                    let slave = (0..n).map(ActorId).find(|s| {
-                        s.index() != to.index() && (slave_pick + s.index()) % 2 == 0
-                    });
-                    let sel: Vec<(ActorId, Load)> = slave
-                        .into_iter()
-                        .map(|s| (s, Load::work(10.0)))
-                        .collect();
-                    mechs[to.index()].complete_decision(&sel, &mut out);
-                    post.stage(to, &mut out);
-                }
-            }
-        }
+        let completed =
+            run_concurrent_snapshots(n, LeaderPolicy::MinRank, &initiators, &picks, slave_pick)?;
         // Every initiator decided exactly once, in rank order.
         let mut expected = initiators.clone();
         expected.sort_unstable();
         prop_assert_eq!(&completed, &expected, "completion order must follow ranks");
-        // Nobody left blocked.
-        for (i, m) in mechs.iter().enumerate() {
-            prop_assert!(!m.blocked(), "P{i} still blocked at quiescence");
+    }
+
+    /// The same property past one 64-bit word of per-peer flags: n on both
+    /// sides of the word boundaries, one initiator in the top word, and both
+    /// leader policies — completion ascends by rank under `MinRank` and
+    /// descends under `MaxRank`.
+    #[test]
+    fn snapshots_serialize_across_word_boundaries(
+        n_pick in 0usize..5,
+        policy_pick in 0usize..2,
+        count in 2usize..6,
+        ranks in prop::collection::vec(0usize..1024, 5),
+        picks in prop::collection::vec(0usize..1 << 16, 1..400),
+        slave_pick in 0usize..16,
+    ) {
+        let n = [63, 64, 65, 129, 130][n_pick];
+        let policy = [LeaderPolicy::MinRank, LeaderPolicy::MaxRank][policy_pick];
+        let top_word = (n - 1) / 64 * 64;
+        let mut initiators = vec![top_word + ranks[0] % (n - top_word)];
+        for &r in &ranks[1..count] {
+            let mut rank = r % n;
+            while initiators.contains(&rank) {
+                rank = (rank + 1) % n;
+            }
+            initiators.push(rank);
         }
+        let completed = run_concurrent_snapshots(n, policy, &initiators, &picks, slave_pick)?;
+        let mut expected = initiators.clone();
+        expected.sort_unstable();
+        if policy == LeaderPolicy::MaxRank {
+            expected.reverse();
+        }
+        prop_assert_eq!(&completed, &expected, "completion order must follow {:?}", policy);
     }
 
     /// Snapshot exactness for a single initiator: whatever the interleaving

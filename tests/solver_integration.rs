@@ -369,3 +369,30 @@ fn heterogeneous_speeds_slow_the_makespan_but_stay_correct() {
     let ratio = hetero.factor_time.as_secs_f64() / homo.factor_time.as_secs_f64();
     assert!(ratio < 4.0, "scheduler failed to adapt: ratio {ratio}");
 }
+
+#[test]
+fn snapshot_statistics_are_pinned_past_one_flag_word() {
+    // At 130 processes the snapshot mechanism's per-peer flags span three
+    // 64-bit words, so elections and delayed answers cross word boundaries.
+    // Any change to who leads or who is answered moves these figures.
+    use loadex::core::LeaderPolicy;
+    let tree = grid_tree(28);
+    for (policy, pinned) in [
+        (LeaderPolicy::MinRank, [9_762_701, 23_276, 56, 62]),
+        (LeaderPolicy::MaxRank, [16_512_855, 25_082, 56, 69]),
+    ] {
+        let mut cfg = small_cfg(130).with_mechanism(MechKind::Snapshot);
+        cfg.leader_policy = policy;
+        let r = run(&tree, &cfg).unwrap();
+        let got = [
+            r.factor_time.as_nanos(),
+            r.state_msgs,
+            r.decisions,
+            r.snapshots_started,
+        ];
+        assert_eq!(
+            got, pinned,
+            "{policy:?}: [factor_time ns, state_msgs, decisions, snapshots_started]"
+        );
+    }
+}
