@@ -396,3 +396,214 @@ fn snapshot_statistics_are_pinned_past_one_flag_word() {
         );
     }
 }
+
+/// FNV-1a, 64 bit: a digest that stays the same across toolchains (unlike
+/// `DefaultHasher`), so a pinned value means the same bytes everywhere.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The fingerprinted configurations: every mechanism × strategy × comm mode
+/// on 6 processes, plus single-knob variants of the snapshot and increments
+/// paths.
+fn fingerprint_configs() -> Vec<(String, SolverConfig)> {
+    use loadex::core::LeaderPolicy;
+    use loadex::sim::SimDuration;
+    let mut out = Vec::new();
+    for mech in MechKind::ALL {
+        for strat in [Strategy::MemoryBased, Strategy::WorkloadBased] {
+            for (comm_name, comm) in [
+                ("mainloop", CommMode::MainLoop),
+                ("commthread", CommMode::threaded_default()),
+            ] {
+                let cfg = small_cfg(6)
+                    .with_mechanism(mech)
+                    .with_strategy(strat)
+                    .with_comm(comm);
+                out.push((format!("{mech}/{}/{comm_name}", strat.name()), cfg));
+            }
+        }
+    }
+    let snapshot = || small_cfg(6).with_mechanism(MechKind::Snapshot);
+    let increments = || small_cfg(6).with_mechanism(MechKind::Increments);
+    let mut c = small_cfg(8).with_mechanism(MechKind::Snapshot);
+    c.snapshot_candidates = Some(3);
+    out.push(("snapshot/candidates3/p8".into(), c));
+    let mut c = increments();
+    c.task_chunk = SimDuration::ZERO;
+    out.push(("increments/no_chunk".into(), c));
+    // The default chunk outlasts every task of this tree; a short one makes
+    // tasks re-queue at chunk boundaries.
+    let mut c = snapshot();
+    c.task_chunk = SimDuration::from_micros(20);
+    out.push(("snapshot/chunk20us".into(), c));
+    let mut c = increments();
+    c.speed_factors = vec![1.0, 0.25, 1.0, 0.25, 1.0, 0.25];
+    out.push(("increments/hetero".into(), c));
+    let mut c = increments();
+    c.no_more_master = false;
+    out.push(("increments/no_nmm".into(), c));
+    let mut c = snapshot();
+    c.leader_policy = LeaderPolicy::MaxRank;
+    out.push(("snapshot/maxrank".into(), c));
+    out
+}
+
+#[test]
+fn sim_output_fingerprints_are_pinned() {
+    // Everything the simulated backend produces for these configurations —
+    // the headline statistics, the recorded protocol-event stream and the
+    // full report JSON (accuracy report included) — reduced to fixed
+    // numbers. Any change to the order or the arithmetic of a side effect
+    // moves at least one of them.
+    use loadex::obs::{jsonl, Recorder};
+    use loadex::solver::run_observed;
+    use serde::Serialize;
+    // [factor_time ns, state_msgs, state_bytes, app_msgs, decisions,
+    //  snapshots_started, mem_peak_entries bits], FNV-1a of the JSONL event
+    // stream, FNV-1a of the report JSON.
+    let pinned: &[(&str, [u64; 7], u64, u64)] = &[
+        (
+            "naive/memory-based/mainloop",
+            [2031476, 1377, 43808, 151, 19, 0, 4651268437027323904],
+            0xed7d170fc722cd14,
+            0xd4c4984323081cf0,
+        ),
+        (
+            "naive/memory-based/commthread",
+            [1577063, 1630, 51680, 145, 19, 0, 4652801156236443648],
+            0xdb6fe1c0bfba7ea0,
+            0x796c11df9a502fd3,
+        ),
+        (
+            "naive/workload-based/mainloop",
+            [1911488, 1557, 49568, 165, 19, 0, 4649583985213571072],
+            0xa648d7c664b12c5b,
+            0x1efd27b557539176,
+        ),
+        (
+            "naive/workload-based/commthread",
+            [1573895, 1600, 50720, 139, 19, 0, 4653007864422465536],
+            0x52abf135efabd4cc,
+            0x1c1384dbd155cc44,
+        ),
+        (
+            "increments/memory-based/mainloop",
+            [1810698, 1370, 49504, 157, 19, 0, 4650846224562257920],
+            0xfbc5efac2a29971f,
+            0x2654397a1945009a,
+        ),
+        (
+            "increments/memory-based/commthread",
+            [1505357, 1680, 59200, 157, 19, 0, 4649570791074037760],
+            0xc2b0f6b5ee7e8b09,
+            0x0d56e77bd3ca9b64,
+        ),
+        (
+            "increments/workload-based/mainloop",
+            [1758834, 1384, 49728, 153, 19, 0, 4650582341771591680],
+            0x01f256ac5117d4b7,
+            0x726eaca6003d66b2,
+        ),
+        (
+            "increments/workload-based/commthread",
+            [1642326, 1450, 49800, 123, 19, 0, 4651708241678434304],
+            0x15d9f7f0828bbacc,
+            0xb9fee84d64f651bb,
+        ),
+        (
+            "snapshot/memory-based/mainloop",
+            [2090770, 385, 11680, 173, 19, 22, 4649570791074037760],
+            0xd2f69098a3df30bc,
+            0x2f7ee2a20f11e9af,
+        ),
+        (
+            "snapshot/memory-based/commthread",
+            [8637422, 411, 12632, 165, 19, 25, 4649570791074037760],
+            0xc81a1a1f01bdcb2f,
+            0xc1d6dc518f714018,
+        ),
+        (
+            "snapshot/workload-based/mainloop",
+            [1954923, 401, 12232, 185, 19, 23, 4650432808190214144],
+            0xbf977514f4dcbd43,
+            0x682ba8bc59b7af79,
+        ),
+        (
+            "snapshot/workload-based/commthread",
+            [8002463, 393, 11976, 169, 19, 23, 4650177721492570112],
+            0xfe951785a7543165,
+            0xd8dff44c9a282162,
+        ),
+        (
+            "snapshot/candidates3/p8",
+            [2197458, 283, 8480, 114, 26, 28, 4650353643353014272],
+            0xf7cda9773d4cf41d,
+            0xbd4e3cac7c84aafb,
+        ),
+        (
+            "increments/no_chunk",
+            [1758834, 1384, 49728, 153, 19, 0, 4650582341771591680],
+            0x01f256ac5117d4b7,
+            0x726eaca6003d66b2,
+        ),
+        (
+            "snapshot/chunk20us",
+            [1763113, 381, 11472, 205, 19, 20, 4652425123259744256],
+            0x12114de7684a15dc,
+            0xfb830eec28f092fd,
+        ),
+        (
+            "increments/hetero",
+            [3307209, 1402, 51624, 175, 19, 0, 4650775855818080256],
+            0xb6c5aed4afb95ba3,
+            0x644f9130d5460a58,
+        ),
+        (
+            "increments/no_nmm",
+            [1769870, 1645, 58560, 157, 19, 0, 4650582341771591680],
+            0x9241372b93a5a743,
+            0x6fff58968139cd3d,
+        ),
+        (
+            "snapshot/maxrank",
+            [2020973, 390, 11840, 183, 19, 22, 4649984207446081536],
+            0xe61c223107417678,
+            0xac8d4a4dd8756950,
+        ),
+    ];
+    let tree = grid_tree(24);
+    let mut got_all = Vec::new();
+    for (name, cfg) in fingerprint_configs() {
+        let rec = Recorder::enabled();
+        let r = run_observed(&tree, &cfg.with_accuracy(true), rec.clone()).unwrap();
+        assert_eq!(rec.dropped(), 0, "{name}: event stream truncated");
+        let stats = [
+            r.factor_time.as_nanos(),
+            r.state_msgs,
+            r.state_bytes,
+            r.app_msgs,
+            r.decisions,
+            r.snapshots_started,
+            r.mem_peak_entries().to_bits(),
+        ];
+        let events = fnv1a64(jsonl::to_string(&rec.take()).as_bytes());
+        let report = fnv1a64(r.to_json().as_bytes());
+        got_all.push((name, stats, events, report));
+    }
+    let rendered: Vec<String> = got_all
+        .iter()
+        .map(|(n, s, e, r)| format!("(\"{n}\", {s:?}, {e:#018x}, {r:#018x}),"))
+        .collect();
+    assert_eq!(got_all.len(), pinned.len(), "{}", rendered.join("\n"));
+    for ((name, stats, events, report), (pname, pstats, pevents, preport)) in
+        got_all.iter().zip(pinned)
+    {
+        assert_eq!(name, pname);
+        assert_eq!(stats, pstats, "{name}: statistics");
+        assert_eq!(events, pevents, "{name}: event stream digest");
+        assert_eq!(report, preport, "{name}: report JSON digest");
+    }
+}
