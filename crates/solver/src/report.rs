@@ -4,6 +4,7 @@
 //! vendored `serde` shim, so the bench CLI can dump a machine-readable
 //! successor to `tables_output.txt`.
 
+use loadex_core::MechStats;
 use loadex_obs::span::{self, Span, SpanState};
 use loadex_obs::{AccuracyReport, MetricsSnapshot};
 use loadex_sim::{SimDuration, SimTime, StatSet, Welford};
@@ -160,6 +161,106 @@ impl RunReport {
             return "(timeline recording disabled; set SolverConfig::record_timeline)".into();
         }
         span::render_gantt(&self.spans(), self.factor_time, width)
+    }
+}
+
+/// One process's share of a run, as either backend hands it over.
+pub(crate) struct ProcOutcome {
+    pub(crate) report: ProcReport,
+    pub(crate) stats: MechStats,
+    pub(crate) timeline: Timeline,
+}
+
+/// Everything a backend hands to [`RunReport::assemble`].
+pub(crate) struct RunParts {
+    pub(crate) backend: &'static str,
+    pub(crate) factor_time: SimTime,
+    pub(crate) procs: Vec<ProcOutcome>,
+    /// Network counters (`net_*`).
+    pub(crate) counters: StatSet,
+    pub(crate) app_msgs: u64,
+    pub(crate) events_dropped: u64,
+    /// The run's histograms.
+    pub(crate) metrics: MetricsSnapshot,
+    pub(crate) snapshot_union_time: SimDuration,
+    pub(crate) snapshot_max_concurrent: u32,
+    /// View error sampled in time and at decisions, work then memory.
+    pub(crate) view_err: [Welford; 4],
+    pub(crate) accuracy: Option<AccuracyReport>,
+}
+
+impl RunReport {
+    /// Fold the per-process outcomes into the report. One source of truth:
+    /// the metrics snapshot carries everything the report's scalar fields
+    /// summarize — the per-mechanism totals (MechStats), the network
+    /// counters, and the run histograms.
+    pub(crate) fn assemble(parts: RunParts) -> RunReport {
+        let RunParts {
+            backend,
+            factor_time,
+            procs,
+            counters,
+            app_msgs,
+            events_dropped,
+            mut metrics,
+            snapshot_union_time,
+            snapshot_max_concurrent,
+            view_err: [time_work, time_mem, decision_work, decision_mem],
+            accuracy,
+        } = parts;
+        let sum = |f: fn(&MechStats) -> u64| procs.iter().map(|o| f(&o.stats)).sum::<u64>();
+        let state_msgs = sum(|s| s.msgs_sent);
+        let state_bytes = sum(|s| s.bytes_sent);
+        let decisions = sum(|s| s.decisions);
+        let snapshots_started = sum(|s| s.snapshots_started);
+        let folds = [
+            ("state_msgs_sent", state_msgs),
+            ("state_bytes_sent", state_bytes),
+            ("state_msgs_received", sum(|s| s.msgs_received)),
+            ("decisions", decisions),
+            ("snapshots_started", snapshots_started),
+            ("snapshot_rebroadcasts", sum(|s| s.snapshot_rebroadcasts)),
+            ("delayed_answers", sum(|s| s.delayed_answers)),
+            ("app_msgs", app_msgs),
+            ("events_dropped", events_dropped),
+        ];
+        for (name, v) in counters.iter().chain(folds) {
+            metrics.counters.insert(name.to_string(), v);
+        }
+        let (procs, timelines): (Vec<ProcReport>, Vec<Timeline>) =
+            procs.into_iter().map(|o| (o.report, o.timeline)).unzip();
+        let gauges = [
+            (
+                "mem_peak_entries",
+                procs.iter().map(|p| p.mem_peak_entries).fold(0.0, f64::max),
+            ),
+            ("factor_time_s", factor_time.as_secs_f64()),
+            ("snapshot_union_s", snapshot_union_time.as_secs_f64()),
+            ("snapshot_max_concurrent", snapshot_max_concurrent as f64),
+        ];
+        for (name, v) in gauges {
+            metrics.gauges.insert(name.to_string(), v);
+        }
+        RunReport {
+            backend,
+            factor_time,
+            procs,
+            decisions,
+            state_msgs,
+            state_bytes,
+            app_msgs,
+            snapshot_union_time,
+            snapshot_max_concurrent,
+            snapshots_started,
+            counters,
+            view_err_time_work: time_work,
+            view_err_time_mem: time_mem,
+            view_err_decision_work: decision_work,
+            view_err_decision_mem: decision_mem,
+            timelines,
+            metrics,
+            accuracy,
+        }
     }
 }
 

@@ -200,6 +200,30 @@ pub fn select_slaves_among(
     shares
 }
 
+/// §5 extension: the candidates a partial snapshot queries — the `k =
+/// cfg.snapshot_candidates` least-loaded peers by the master's current view
+/// and strategy metric, ties by rank (`k = 0` counts as 1). `None` means a
+/// full snapshot: no `k` configured, or `k` covers every peer.
+pub fn snapshot_candidates(cfg: &SolverConfig, view: &LoadTable) -> Option<Vec<ActorId>> {
+    let k = cfg.snapshot_candidates?;
+    if k >= cfg.nprocs.saturating_sub(1) {
+        return None;
+    }
+    let mut others: Vec<(ActorId, f64)> = view
+        .others()
+        .map(|(q, l)| match cfg.strategy {
+            Strategy::MemoryBased => (q, l.mem),
+            Strategy::WorkloadBased => (q, l.work),
+        })
+        .collect();
+    others.sort_by(|a, b| {
+        a.1.partial_cmp(&b.1)
+            .unwrap()
+            .then(a.0.index().cmp(&b.0.index()))
+    });
+    Some(others.into_iter().take(k.max(1)).map(|(q, _)| q).collect())
+}
+
 /// Outcome of replaying one dynamic slave selection against the ground
 /// truth: did the believed view pick different slaves, and how much worse
 /// (in the strategy's own metric) were the picks?
@@ -316,6 +340,32 @@ mod tests {
             v.set(ActorId(i), Load::new(w, m));
         }
         v
+    }
+
+    #[test]
+    fn snapshot_candidates_are_the_k_least_loaded() {
+        // Five processes seen from P0; P2 and P3 tie on workload.
+        let v = view(&[(0.0, 0.0), (9.0, 1.0), (3.0, 5.0), (3.0, 4.0), (1.0, 8.0)]);
+        let mut c = cfg(Strategy::WorkloadBased);
+        c.nprocs = 5;
+        c.snapshot_candidates = Some(3);
+        let ids =
+            |v: Option<Vec<ActorId>>| v.map(|v| v.iter().map(|q| q.index()).collect::<Vec<_>>());
+        // Ties are broken by rank.
+        assert_eq!(ids(snapshot_candidates(&c, &v)), Some(vec![4, 2, 3]));
+        // The memory-based strategy ranks by memory.
+        let m = c.clone().with_strategy(Strategy::MemoryBased);
+        assert_eq!(ids(snapshot_candidates(&m, &v)), Some(vec![1, 3, 2]));
+        // k = 0 is treated as 1.
+        c.snapshot_candidates = Some(0);
+        assert_eq!(ids(snapshot_candidates(&c, &v)), Some(vec![4]));
+        // k >= P - 1 covers every peer: a full snapshot.
+        for k in [4, 5, 100] {
+            c.snapshot_candidates = Some(k);
+            assert_eq!(snapshot_candidates(&c, &v), None, "k = {k}");
+        }
+        c.snapshot_candidates = None;
+        assert_eq!(snapshot_candidates(&c, &v), None);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 use crate::config::SolverConfig;
 use crate::mapping::TreePlan;
 use loadex_core::{
-    AnyMechanism, GossipMechanism, IncrementMechanism, Load, MechKind, NaiveMechanism,
-    PeriodicMechanism, SnapshotMechanism, Threshold,
+    AnyMechanism, ChangeOrigin, GossipMechanism, IncrementMechanism, Load, MechKind,
+    NaiveMechanism, PeriodicMechanism, SnapshotMechanism, Threshold,
 };
 use loadex_sim::{ActorId, SimDuration};
 use loadex_sparse::{AssemblyTree, Symmetry};
@@ -43,6 +43,15 @@ impl TaskKind {
             TaskKind::Type2Slave { .. } => "type2_slave",
             TaskKind::Type2Whole => "type2_whole",
             TaskKind::RootPart => "root_part",
+        }
+    }
+
+    /// Origin of this task's load changes: a slave's row block was already
+    /// announced by its master, everything else is local work.
+    pub(crate) fn origin(self) -> ChangeOrigin {
+        match self {
+            TaskKind::Type2Slave { .. } => ChangeOrigin::SlaveTask,
+            _ => ChangeOrigin::Local,
         }
     }
 }
@@ -196,6 +205,16 @@ mod tests {
             let sum = mf + slave_flops_per_row(&tree, i as u32) * node.ncb() as f64;
             assert!((sum - total).abs() < 1e-6 * total);
         }
+    }
+
+    #[test]
+    fn chunk_flops_respects_config() {
+        let mut cfg = SolverConfig::new(2);
+        cfg.task_chunk = SimDuration::from_millis(100);
+        cfg.speed_flops = 1e9;
+        assert_eq!(chunk_flops(&cfg), 1e8);
+        cfg.task_chunk = SimDuration::ZERO;
+        assert_eq!(chunk_flops(&cfg), f64::INFINITY);
     }
 
     #[test]
